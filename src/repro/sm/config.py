@@ -92,8 +92,8 @@ class SMConfig:
         same ``request`` / traffic-counter surface (for example a
         :class:`repro.memory.dram.DRAMPort` onto a shared
         :class:`~repro.memory.dram.DRAMSystem`) can stand in for the
-        private channel via :func:`repro.sm.simulate`'s ``dram``
-        argument.
+        private channel as an :class:`~repro.sm.simulator.SMCore`'s
+        ``dram``.
         """
         from repro.memory.dram import DRAMChannel
 

@@ -99,23 +99,141 @@ def resolved_engine(kernel: CompiledKernel, config: SMConfig | None) -> str:
     return "columnar" if warm_key in kernel._plan_cache else "event"
 
 
+class SMCore:
+    """One SM's private state: the unit both engines simulate.
+
+    :func:`simulate` builds one over the whole grid and a private
+    channel; :func:`repro.chip.simulate_chip` builds one per SM with a
+    dispatcher-fed CTA source and a chip DRAM port.  Nothing here is
+    shared between cores -- only the DRAM behind ``dram`` and the CTA
+    supply behind the scheduler can be.
+    """
+
+    __slots__ = (
+        "index", "scheduler", "banks", "cache", "dram", "mshr", "obs",
+        "issued_until", "mem_port_free", "warp_serial", "live_ctas",
+    )
+
+    def __init__(
+        self, index, kernel, partition, cfg, thread_target, dram, obs,
+        cta_source=None,
+    ) -> None:
+        self.index = index
+        self.scheduler = CTAScheduler(
+            kernel, partition, thread_target, cta_source=cta_source
+        )
+        self.banks = make_bank_model(partition, cluster_port=cfg.cluster_port_banks)
+        # The unified allocator can leave any remainder as cache; model
+        # the whole sets and keep the dropped bytes visible in
+        # cache.slack_bytes.
+        self.cache = DataCache(
+            partition.cache_bytes,
+            assoc=cfg.cache_assoc,
+            line_bytes=cfg.cache_line_bytes,
+            misaligned="floor",
+        )
+        self.dram = dram
+        #: None = legacy blocking miss model (the golden-fixture default).
+        self.mshr = cfg.make_mshr_file()
+        #: Live collector, or None for an uninstrumented core.
+        self.obs = obs
+        #: The single issue port and the shared-memory / cache pipeline
+        #: port: bank-conflicted accesses serialise on the latter
+        #: without blocking instruction issue for other warps.
+        self.issued_until = 0.0
+        self.mem_port_free = 0.0
+        self.warp_serial = 0
+        self.live_ctas = 0
+
+    def end_cycle(self) -> float:
+        """When this SM went idle: issue, memory pipe, and its last DRAM."""
+        return max(self.issued_until, self.mem_port_free, self.dram.free_at)
+
+    def result(self, kernel, partition, totals, obs_end: float) -> SimResult:
+        """Assemble this core's :class:`SimResult` after a run.
+
+        ``totals`` holds the run's additive counters in the order of
+        :data:`repro.compiler.columnar.N_TOTALS` (instructions, conflict
+        cycles, arbitration conflicts, the five histogram buckets, RF
+        traffic, shared/cache row traffic, tag lookups); every engine
+        folds its counters into that one shape.  A live collector is
+        finished at ``obs_end`` -- the chip makespan at chip scope.
+        """
+        (instructions, conflict_cycles, arb_total,
+         h0, h1, h2, h3, h4,
+         mrf_r, mrf_w, orf_r, orf_w, lrf_r, lrf_w,
+         sh_rr, sh_rw, c_rr, c_rw, tags) = totals
+        banks = self.banks
+        h = banks.histogram
+        h.at_most_1 += h0
+        h.exactly_2 += h1
+        h.exactly_3 += h2
+        h.exactly_4 += h3
+        h.over_4 += h4
+        if arb_total:
+            banks.arbitration_conflicts += arb_total
+        dram = self.dram
+        counts = EnergyCounts(
+            mrf_reads=mrf_r,
+            mrf_writes=mrf_w,
+            orf_reads=orf_r,
+            orf_writes=orf_w,
+            lrf_reads=lrf_r,
+            lrf_writes=lrf_w,
+            shared_row_reads=sh_rr,
+            shared_row_writes=sh_rw,
+            cache_row_reads=c_rr,
+            cache_row_writes=c_rw,
+            tag_lookups=tags,
+            dram_bits=dram.bits_transferred,
+        )
+        stall_cycles: dict[str, float] = {}
+        if self.obs is not None:
+            self.obs.finish(obs_end)
+            stall_cycles = self.obs.stall_totals()
+        notes: dict = {}
+        if self.mshr is not None:
+            memsys = {"mshr": self.mshr.stats()}
+            if getattr(dram, "row_hits", None) is not None:
+                # A private channel keeps its own row-buffer counters; a
+                # shared-system port does not (the chip result carries
+                # the system-wide counters instead).
+                memsys["dram_row_hits"] = dram.row_hits
+                memsys["dram_row_misses"] = dram.row_misses
+            notes["memsys"] = memsys
+        scheduler = self.scheduler
+        return SimResult(
+            kernel=kernel.name,
+            partition=partition,
+            cycles=self.end_cycle(),
+            instructions=instructions,
+            resident_ctas=scheduler.max_concurrent,
+            resident_threads=scheduler.limits.resident_threads,
+            regs_per_thread=kernel.regs_per_thread,
+            bank_conflict_cycles=conflict_cycles,
+            conflict_histogram=h,
+            cache_stats=self.cache.stats,
+            dram_accesses=dram.accesses,
+            dram_bytes=dram.bytes_transferred,
+            energy_counts=counts,
+            limiting_resource=scheduler.limits.limiting_resource,
+            stall_cycles=stall_cycles,
+            notes=notes,
+        )
+
+
 def simulate(
     kernel: CompiledKernel,
     partition: MemoryPartition,
     config: SMConfig | None = None,
     thread_target: int | None = None,
     collector=None,
-    dram=None,
-    cta_source=None,
 ) -> SimResult:
     """Run one kernel launch to completion under a memory partition.
 
-    The SM's three external dependencies are injectable, which is what
-    makes it a composable chip component (:mod:`repro.chip`): its DRAM
-    port (``dram``), its supply of work (``cta_source``), and its
-    observability sink (``collector``).  With all three left at their
-    defaults this is exactly the paper's single-SM methodology -- a
-    private 1/32-bandwidth channel and the whole grid.
+    This is the paper's single-SM methodology: one :class:`SMCore` over
+    the whole grid behind a private 1/32-bandwidth channel.  The chip
+    simulator (:mod:`repro.chip`) composes N such cores.
 
     Args:
         kernel: Compiled kernel (see :func:`repro.compiler.compile_kernel`).
@@ -128,17 +246,6 @@ def simulate(
             attribution, interval metrics, and trace events.  ``None``
             (or any collector with ``enabled == False``) keeps the hot
             loop uninstrumented; instrumentation never changes timing.
-        dram: Optional DRAM port standing in for the SM's private
-            channel -- anything with ``request(now, nbytes)`` plus the
-            ``accesses`` / ``bytes_transferred`` / ``bits_transferred``
-            / ``free_at`` counters (e.g. a
-            :class:`repro.memory.dram.DRAMPort`).  The caller owns its
-            observer wiring; the default channel is built by
-            :meth:`SMConfig.make_dram_channel` with the collector's
-            transfer hook attached.
-        cta_source: Optional work supply for the CTA scheduler (see
-            :class:`repro.sm.cta_scheduler.CTAScheduler`); ``None``
-            launches the whole grid on this SM in index order.
 
     Returns:
         A :class:`~repro.sm.result.SimResult` with cycles, DRAM traffic,
@@ -150,12 +257,19 @@ def simulate(
     """
     cfg = config or SMConfig()
     obs = collector if collector is not None and collector.enabled else None
+    core = SMCore(
+        0, kernel, partition, cfg, thread_target,
+        cfg.make_dram_channel(
+            observer=obs.dram_transfer if obs is not None else None
+        ),
+        obs,
+    )
+    scheduler = core.scheduler
     if cfg.engine == "columnar":
         # Dispatch seam: warm kernels replay precompiled columnar warp
         # programs (bit-identical results, ~2x faster once lowered) --
-        # instrumented or not; a live collector routes to the replay
-        # loop's instrumented runner, which fires the same hooks as the
-        # event loop below at the same times (see repro.sm.replay).
+        # instrumented or not -- on the same driver the chip simulator
+        # runs, here over one core (see repro.sm.replay).
         #
         # Tiered warm-up: lowering a kernel (signatures + programs)
         # costs about as much as one event-engine run, so it only pays
@@ -165,37 +279,21 @@ def simulate(
         # while one-shot simulations never pay an unamortised compile.
         warm_key = ("colwarm", cfg.cache_line_bytes)
         if warm_key in kernel._plan_cache:
-            from repro.sm.replay import replay_simulate
+            from repro.sm.replay import replay
 
-            return replay_simulate(
-                kernel,
-                partition,
-                cfg,
-                thread_target=thread_target,
-                dram=dram,
-                cta_source=cta_source,
-                collector=collector,
-            )
+            (totals,) = replay(kernel, cfg, [core])
+            if scheduler.remaining:
+                raise SimulationError(
+                    f"{scheduler.remaining} CTAs were never launched"
+                )
+            return core.result(kernel, partition, totals, core.end_cycle())
         kernel._plan_cache[warm_key] = True
-    scheduler = CTAScheduler(kernel, partition, thread_target, cta_source=cta_source)
-    banks = make_bank_model(partition, cluster_port=cfg.cluster_port_banks)
-    # The unified allocator can leave any remainder as cache; model the
-    # whole sets and keep the dropped bytes visible in cache.slack_bytes.
-    cache = DataCache(
-        partition.cache_bytes,
-        assoc=cfg.cache_assoc,
-        line_bytes=cfg.cache_line_bytes,
-        misaligned="floor",
-    )
-    if dram is None:
-        dram = cfg.make_dram_channel(
-            observer=obs.dram_transfer if obs is not None else None
-        )
-    counts = EnergyCounts()
+    banks = core.banks
+    cache = core.cache
+    dram = core.dram
+    mshr = core.mshr
     line_bytes = cfg.cache_line_bytes
     plans_k = plan_kernel(kernel, line_bytes)
-    # None = legacy blocking miss model (the golden-fixture default).
-    mshr = cfg.make_mshr_file()
 
     # Event heap of (ready_cycle, seq, warp); seq keeps FIFO order among ties.
     heap: list[tuple[float, int, _WarpState]] = []
@@ -244,7 +342,7 @@ def simulate(
     conflict_cycles = 0
 
     # Hoisted bound methods / config scalars and local accumulators --
-    # merged into banks.histogram / EnergyCounts once after the loop.
+    # folded into the result's totals once after the loop.
     heappush = heapq.heappush
     heappop = heapq.heappop
     planned_shared = banks.planned_shared
@@ -526,58 +624,14 @@ def simulate(
     if live_ctas:
         raise SimulationError(f"{live_ctas} CTAs never finished")
 
-    # ---- merge local accumulators -------------------------------------
-    h = banks.histogram
-    h.at_most_1 += hist[0]
-    h.exactly_2 += hist[1]
-    h.exactly_3 += hist[2]
-    h.exactly_4 += hist[3]
-    h.over_4 += hist[4]
-    if arb_total:
-        banks.arbitration_conflicts += arb_total
-    counts.mrf_reads = mrf_reads_t
-    counts.mrf_writes = mrf_writes_t
-    counts.orf_reads = orf_reads_t
-    counts.orf_writes = orf_writes_t
-    counts.lrf_reads = lrf_reads_t
-    counts.lrf_writes = lrf_writes_t
-    counts.shared_row_reads = shared_row_reads_t
-    counts.shared_row_writes = shared_row_writes_t
-    counts.cache_row_reads = cache_row_reads_t
-    counts.cache_row_writes = cache_row_writes_t
-    counts.tag_lookups = tag_lookups_t
-
-    counts.dram_bits = dram.bits_transferred
-    end = max(issued_until, mem_port_free, dram.free_at)
-    stall_cycles: dict[str, float] = {}
-    if obs is not None:
-        obs.finish(end)
-        stall_cycles = obs.stall_totals()
-    notes: dict = {}
-    if mshr is not None:
-        memsys = {"mshr": mshr.stats()}
-        if getattr(dram, "row_hits", None) is not None:
-            # A private channel keeps its own row-buffer counters; a
-            # shared-system port does not (the chip result carries the
-            # system-wide counters instead).
-            memsys["dram_row_hits"] = dram.row_hits
-            memsys["dram_row_misses"] = dram.row_misses
-        notes["memsys"] = memsys
-    return SimResult(
-        kernel=kernel.name,
-        partition=partition,
-        cycles=end,
-        instructions=instructions,
-        resident_ctas=scheduler.max_concurrent,
-        resident_threads=scheduler.limits.resident_threads,
-        regs_per_thread=kernel.regs_per_thread,
-        bank_conflict_cycles=conflict_cycles,
-        conflict_histogram=banks.histogram,
-        cache_stats=cache.stats,
-        dram_accesses=dram.accesses,
-        dram_bytes=dram.bytes_transferred,
-        energy_counts=counts,
-        limiting_resource=scheduler.limits.limiting_resource,
-        stall_cycles=stall_cycles,
-        notes=notes,
+    core.issued_until = issued_until
+    core.mem_port_free = mem_port_free
+    totals = (
+        instructions, conflict_cycles, arb_total, *hist,
+        mrf_reads_t, mrf_writes_t, orf_reads_t, orf_writes_t,
+        lrf_reads_t, lrf_writes_t,
+        shared_row_reads_t, shared_row_writes_t,
+        cache_row_reads_t, cache_row_writes_t,
+        tag_lookups_t,
     )
+    return core.result(kernel, partition, totals, core.end_cycle())

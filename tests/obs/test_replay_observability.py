@@ -133,6 +133,53 @@ def test_instrumented_chip_engines_identical(runner, kernel, mshr, part_dram):
     assert _dumps(obs_c.trace_payload()) == _dumps(obs_e.trace_payload())
 
 
+# -- mixed chips: instrumented and uninstrumented cores in one heap -------
+@pytest.mark.parametrize("part_dram", (False, True))
+@pytest.mark.parametrize("mshr", MSHRS)
+@pytest.mark.parametrize("kernel", ("matrixmul", "needle"))
+def test_mixed_instrumentation_chip_engines_identical(
+    runner, kernel, mshr, part_dram
+):
+    """Every other SM profiled: both runners' heap-entry layouts share
+    one heap, and neither may perturb the other's timing or payloads."""
+    ck = runner.compiled(kernel)
+    part = partitioned_baseline()
+    cfg = _config(runner, mshr)
+    _warm(ck, cfg)
+    chip_e = ChipConfig(
+        num_sms=4, dram_bytes_per_cycle=32.0, dram_channels=2,
+        dram_partitioned=part_dram, sm=replace(cfg, engine="event"),
+    )
+    chip_c = replace(chip_e, sm=replace(cfg, engine="columnar"))
+    mk = lambda: [  # noqa: E731
+        Collector(metrics_window=500, trace=True, max_trace_events=200_000),
+        None,
+        Collector(metrics_window=500, trace=True, max_trace_events=200_000),
+        None,
+    ]
+    cols_e, cols_c = mk(), mk()
+    event = simulate_chip(ck, part, chip_e, collectors=cols_e)
+    columnar = simulate_chip(ck, part, chip_c, collectors=cols_c)
+    assert columnar.cycles == event.cycles
+    assert columnar.per_sm == event.per_sm
+    assert columnar.ctas_per_sm == event.ctas_per_sm
+    assert columnar.dram_channel_bytes == event.dram_channel_bytes
+    assert columnar.notes == event.notes
+    # The uninstrumented SMs carry no attribution; the profiled ones do.
+    assert [bool(r.stall_cycles) for r in columnar.per_sm] == [
+        True, False, True, False
+    ]
+    for obs_e, obs_c in zip(cols_e[::2], cols_c[::2]):
+        assert obs_c.warps
+        assert obs_e.conservation_errors() == []
+        assert obs_c.conservation_errors() == []
+        assert _dumps(obs_c.report()) == _dumps(obs_e.report())
+        assert _dumps(obs_c.metrics_payload()) == _dumps(
+            obs_e.metrics_payload()
+        )
+        assert _dumps(obs_c.trace_payload()) == _dumps(obs_e.trace_payload())
+
+
 # -- neutrality: collectors on/off under engine="columnar" ----------------
 @pytest.mark.parametrize("mshr", MSHRS)
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -181,13 +228,13 @@ def test_instrumented_run_uses_replay_path(runner, monkeypatch):
     import repro.sm.replay as replay_mod
 
     calls = []
-    real = replay_mod.replay_simulate
+    real = replay_mod.replay
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(replay_mod, "replay_simulate", spy)
+    monkeypatch.setattr(replay_mod, "replay", spy)
     ck = runner.compiled("vectoradd")
     cfg = replace(runner.config, engine="columnar")
     _warm(ck, cfg)
