@@ -146,7 +146,7 @@ def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
 
     from repro.core import partitioned_baseline
     from repro.experiments.runner import Runner
-    from repro.sm.simulator import simulate
+    from repro.sm.simulator import mark_warm, simulate
 
     rn = Runner(scale)
     baseline = partitioned_baseline()
@@ -163,7 +163,7 @@ def bench_simulate(scale: str, repeats: int) -> list[BenchEntry]:
         # Defeat the tiered warm-up: the seam routes a kernel's first
         # uninstrumented sim to the event core, and the ``.columnar``
         # entry must time the replayer even at --repeats 1.
-        ck._plan_cache[("colwarm", col_cfg.cache_line_bytes)] = True
+        mark_warm(ck, col_cfg)
 
         def run_base(ck=ck):
             r = simulate(ck, baseline, rn.config)

@@ -20,7 +20,10 @@ issue time is fully determined when its previous instruction issues
 so the simulator pops the earliest-ready warp from a heap and serialises
 it on the single issue port.  This is exact for the modelled machine and
 keeps pure-Python simulation fast enough to sweep the paper's full
-design space.
+design space.  Two engines implement that contract bit-identically, each
+with one loop that runs one SM or a chip's N: the per-op event loop
+(:func:`repro.sm.simulator.run_event`) and the columnar replayer
+(:func:`repro.sm.replay.replay`); ``SMConfig.engine`` picks one.
 
 The two-level warp scheduler of the baseline (ref [8]) is represented at
 compile time: the RF-hierarchy pass flushes LRF/ORF values to the MRF at

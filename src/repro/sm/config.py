@@ -61,8 +61,8 @@ class SMConfig:
     #: i.e. disabled).
     dram_row_hit_latency: int | None = None
     #: Simulation engine: ``"columnar"`` (default) replays precompiled
-    #: columnar warp programs (:mod:`repro.sm.replay`); ``"event"`` is
-    #: the legacy per-op event loop.  The two are bit-identical --
+    #: columnar warp programs (:mod:`repro.sm.replay`); ``"event"`` runs
+    #: the per-op event loop (``run_event``).  The two are bit-identical --
     #: every SimResult field matches exactly (differential tests pin
     #: this) -- so the flag never changes simulated numbers, only
     #: wall-clock.  Instrumented runs (profile/trace collectors)

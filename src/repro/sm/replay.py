@@ -952,7 +952,7 @@ def replay(kernel, cfg: SMConfig, cores: list, dispatcher=None, chip_obs=None) -
     """Replay one kernel launch over ``cores``: the only columnar loop.
 
     One global heap orders every core's warps by readiness exactly as
-    the event loops key them (``(ready, seq)``, FIFO among ties), so a
+    the event loop keys them (``(ready, seq)``, FIFO among ties), so a
     1-core run is the single-SM simulation and an N-core run is the
     chip's interleaving.  Each core replays on its own runner -- the
     instrumented one when it has a live collector -- and the driver
@@ -960,7 +960,7 @@ def replay(kernel, cfg: SMConfig, cores: list, dispatcher=None, chip_obs=None) -
     choreography below (``on_barrier`` / ``on_retire``, called from the
     runners) fires ``cta_launch`` / ``spawn`` / ``resume`` / ``complete``
     / ``cta_retire`` plus the chip collector's ``cta_dispatch`` /
-    ``cta_retire`` taps in exactly the event loops' order; DRAM-window
+    ``cta_retire`` taps in exactly the event loop's order; DRAM-window
     taps fire from the channel observers wired at core construction,
     which the instrumented runner always routes requests through.
     ``dispatcher`` only feeds the ``cta_dispatch`` tap.

@@ -1,9 +1,13 @@
-"""Event-driven single-SM timing simulation.
+"""Event-driven SM timing simulation: :func:`simulate` and the event engine.
 
 See the package docstring (:mod:`repro.sm`) for the modelling contract.
-The main loop pops the earliest-ready warp from a heap, serialises it on
-the single issue port, resolves its instruction against the bank model /
-cache / DRAM, and schedules the warp's next readiness.  Each warp
+:func:`run_event` is the only event loop, for one SM or N: it pops the
+earliest-ready warp from a heap, serialises it on its SM's issue port,
+resolves its instruction against that SM's bank model / cache / DRAM,
+and schedules the warp's next readiness.  :func:`simulate` runs it on
+one :class:`SMCore` (unless the kernel is warm and the columnar
+replayer of :mod:`repro.sm.replay` takes the run), and
+:func:`repro.chip.simulate_chip` on one core per SM.  Each warp
 instruction is visited exactly once, so the loop runs in
 ``O(total_ops * log(resident_warps))``; the first simulation of a kernel
 additionally pays a one-time ``O(total_ops * warp_width)`` planning pass
@@ -53,41 +57,12 @@ class SimulationError(RuntimeError):
     """The simulation reached an inconsistent state (internal bug guard)."""
 
 
-@dataclass(slots=True)
-class _WarpState:
-    ops: list[CompiledOp]
-    #: Per-op plans aligned with ``ops`` (see repro.compiler.precompute).
-    plans: list
-    cta: ResidentCTA
-    pc: int = 0
-    #: Architectural register -> cycle its pending write completes.
-    pending: dict[int, float] = field(default_factory=dict)
-    #: Run-unique warp id (observability track key).
-    wid: int = 0
-    #: Warp index within its CTA.
-    widx: int = 0
-
-    def next_ready(self, now: float) -> float:
-        """Earliest cycle the next instruction's operands are available."""
-        op = self.ops[self.pc]
-        ready = now
-        pending = self.pending
-        if pending:
-            # RAW hazards only: writes drain in program order through the
-            # in-order pipeline, so WAW to a recycled register is safe.
-            for r in op.srcs:
-                t = pending.get(r)
-                if t is not None and t > ready:
-                    ready = t
-        return ready
-
-
 def resolved_engine(kernel: CompiledKernel, config: SMConfig | None) -> str:
     """Engine the *next* ``simulate`` of ``kernel`` would actually run.
 
-    The dispatch seam above is tiered: even under
+    The dispatch seam in :func:`simulate` is tiered: even under
     ``engine == "columnar"`` a kernel's first simulation runs the event
-    core (and warms the plan cache), so the configured engine and the
+    core (and marks the kernel warm), so the configured engine and the
     executed one can differ.  Callers that record provenance (run
     manifests, ``Runner.sim_metrics``) ask here instead of duplicating
     the warm-key rule.
@@ -95,8 +70,23 @@ def resolved_engine(kernel: CompiledKernel, config: SMConfig | None) -> str:
     cfg = config or SMConfig()
     if cfg.engine != "columnar":
         return "event"
-    warm_key = ("colwarm", cfg.cache_line_bytes)
-    return "columnar" if warm_key in kernel._plan_cache else "event"
+    return "columnar" if _warm_key(cfg) in kernel._plan_cache else "event"
+
+
+def mark_warm(kernel: CompiledKernel, cfg: SMConfig) -> None:
+    """Make every later columnar ``simulate`` of ``kernel`` replay directly.
+
+    The tiered warm-up runs a kernel's first simulation on the event
+    core; marking skips that tier (a chip run lowers every SM anyway, and
+    benchmarks or tests that must time or compare the replayer mark
+    first).
+    """
+    kernel._plan_cache[_warm_key(cfg)] = True
+
+
+def _warm_key(cfg: SMConfig) -> tuple:
+    # Lowered programs depend on the line size (segments, sectors).
+    return ("colwarm", cfg.cache_line_bytes)
 
 
 class SMCore:
@@ -264,110 +254,196 @@ def simulate(
         ),
         obs,
     )
-    scheduler = core.scheduler
-    if cfg.engine == "columnar":
-        # Dispatch seam: warm kernels replay precompiled columnar warp
-        # programs (bit-identical results, ~2x faster once lowered) --
-        # instrumented or not -- on the same driver the chip simulator
-        # runs, here over one core (see repro.sm.replay).
-        #
-        # Tiered warm-up: lowering a kernel (signatures + programs)
-        # costs about as much as one event-engine run, so it only pays
-        # off from a kernel's second simulation on.  The first sight of
-        # a kernel runs the event core and marks it; sweeps (capacity,
+    if resolved_engine(kernel, cfg) == "columnar":
+        # Warm kernels replay precompiled columnar warp programs
+        # (bit-identical results, ~2x faster once lowered) -- instrumented
+        # or not -- on the same driver the chip simulator runs, here over
+        # one core (see repro.sm.replay).
+        from repro.sm.replay import replay
+
+        (totals,) = replay(kernel, cfg, [core])
+    else:
+        # Tiered warm-up: lowering a kernel (signatures + programs) costs
+        # about as much as one event-engine run, so it only pays off from
+        # a kernel's second simulation on.  The first sight of a kernel
+        # runs the event core and marks it; sweeps (capacity,
         # thread-target, ablation grids) replay columnar from then on,
         # while one-shot simulations never pay an unamortised compile.
-        warm_key = ("colwarm", cfg.cache_line_bytes)
-        if warm_key in kernel._plan_cache:
-            from repro.sm.replay import replay
+        if cfg.engine == "columnar":
+            mark_warm(kernel, cfg)
+        (totals,) = run_event(kernel, cfg, [core])
+    if core.scheduler.remaining:
+        raise SimulationError(
+            f"{core.scheduler.remaining} CTAs were never launched"
+        )
+    return core.result(kernel, partition, totals, core.end_cycle())
 
-            (totals,) = replay(kernel, cfg, [core])
-            if scheduler.remaining:
-                raise SimulationError(
-                    f"{scheduler.remaining} CTAs were never launched"
-                )
-            return core.result(kernel, partition, totals, core.end_cycle())
-        kernel._plan_cache[warm_key] = True
-    banks = core.banks
-    cache = core.cache
-    dram = core.dram
-    mshr = core.mshr
+
+@dataclass(slots=True)
+class _EventWarp:
+    """One resident warp of the event engine and the SM core it runs on.
+
+    ``core`` is how the event heap routes a popped warp back to its SM's
+    issue port, memory pipeline, and counters.
+    """
+
+    ops: list[CompiledOp]
+    #: Per-op plans aligned with ``ops`` (see repro.compiler.precompute).
+    plans: list
+    cta: ResidentCTA
+    core: SMCore
+    pc: int = 0
+    #: Architectural register -> cycle its pending write completes.
+    pending: dict[int, float] = field(default_factory=dict)
+    #: Warp id, unique per core (the observability track key).
+    wid: int = 0
+
+    def next_ready(self, now: float) -> float:
+        """Earliest cycle the next instruction's operands are available."""
+        op = self.ops[self.pc]
+        ready = now
+        pending = self.pending
+        if pending:
+            # RAW hazards only: writes drain in program order through the
+            # in-order pipeline, so WAW to a recycled register is safe.
+            for r in op.srcs:
+                t = pending.get(r)
+                if t is not None and t > ready:
+                    ready = t
+        return ready
+
+
+def run_event(kernel, cfg: SMConfig, cores: list, dispatcher=None, chip_obs=None) -> list:
+    """The event engine: run one launch on ``cores`` behind one event heap.
+
+    One heap of ``(ready_cycle, seq, warp)`` interleaves the warps of
+    every core by readiness (``seq`` keeps FIFO order among ties), so
+    cores advance together in simulated time and their DRAM requests
+    reach a shared channel in arrival order.  :func:`simulate` runs one
+    core, :func:`repro.chip.simulate_chip` N; a chip's cores draw CTAs
+    from ``dispatcher``, and ``chip_obs`` (a live
+    :class:`~repro.obs.chip.ChipCollector` or ``None``) sees every CTA
+    dispatch and retirement.
+
+    Returns one list per core of the run's additive counters in
+    :data:`~repro.compiler.columnar.N_TOTALS` order (see
+    :meth:`SMCore.result`).
+    """
     line_bytes = cfg.cache_line_bytes
     plans_k = plan_kernel(kernel, line_bytes)
 
-    # Event heap of (ready_cycle, seq, warp); seq keeps FIFO order among ties.
-    heap: list[tuple[float, int, _WarpState]] = []
+    heap: list[tuple[float, int, _EventWarp]] = []
     seq = 0  # also advanced inline by the hot loop below
-    warp_serial = 0
 
-    def push(w: _WarpState, now: float) -> None:
+    def push(w: _EventWarp, now: float) -> None:
         nonlocal seq
         heapq.heappush(heap, (w.next_ready(now), seq, w))
         seq += 1
 
-    def spawn_cta(now: float) -> bool:
-        nonlocal warp_serial
-        resident = scheduler.launch_next()
+    def spawn_cta(core: SMCore, now: float) -> bool:
+        resident = core.scheduler.launch_next()
         if resident is None:
             return False
+        obs = core.obs
         if obs is not None:
             obs.cta_launch(resident.index, now, len(resident.cta.warps))
+        if chip_obs is not None:
+            chip_obs.cta_dispatch(
+                resident.index, core.index, now, dispatcher.remaining
+            )
         warp_plans = plans_k[resident.index]
         for wi, cw in enumerate(resident.cta.warps):
-            w = _WarpState(
-                ops=cw.ops,
-                plans=warp_plans[wi],
-                cta=resident,
-                wid=warp_serial,
-                widx=wi,
+            w = _EventWarp(
+                cw.ops, warp_plans[wi], resident, core, wid=core.warp_serial
             )
-            warp_serial += 1
+            core.warp_serial += 1
             if obs is not None:
                 obs.spawn(w.wid, resident.index, wi, now)
             push(w, now)
         return True
 
-    live_ctas = 0
-    for _ in range(scheduler.max_concurrent):
-        if spawn_cta(0.0):
-            live_ctas += 1
+    def retire(core: SMCore, cta: ResidentCTA, now: float) -> None:
+        core.scheduler.retire(cta)
+        if core.obs is not None:
+            core.obs.cta_retire(cta.index, now)
+        if chip_obs is not None:
+            chip_obs.cta_retire(cta.index, core.index, now)
+        core.live_ctas -= 1
+        if spawn_cta(core, now):
+            core.live_ctas += 1
 
-    issued_until = 0.0
-    # The shared-memory / cache pipeline: bank-conflicted accesses
-    # serialise here without blocking instruction issue for other warps
-    # (register-bank conflicts, by contrast, stall operand fetch and
-    # therefore the issue port itself).
-    mem_port_free = 0.0
-    instructions = 0
-    conflict_cycles = 0
+    # Breadth-first initial fill: SM 0 gets CTA 0, SM 1 gets CTA 1, ...
+    # then around again until every SM is at its residency limit or the
+    # grid drains.  With one SM this is the sequential fill CTA 0, 1, 2,
+    # ... up to max_concurrent.
+    progress = True
+    while progress:
+        progress = False
+        for core in cores:
+            if core.live_ctas < core.scheduler.max_concurrent and spawn_cta(core, 0.0):
+                core.live_ctas += 1
+                progress = True
 
-    # Hoisted bound methods / config scalars and local accumulators --
-    # folded into the result's totals once after the loop.
+    # Hoisted bound methods and config scalars.
     heappush = heapq.heappush
     heappop = heapq.heappop
-    planned_shared = banks.planned_shared
-    planned_global = banks.planned_global
-    cache_read = cache.read_line
-    cache_write = cache.write_line
-    dram_request = dram.request
-    cache_enabled = cache.enabled
     lat_by_kind = (cfg.alu_latency, cfg.sfu_latency, cfg.tex_latency)
     shared_latency = cfg.shared_latency
     hit_latency = cfg.cache_hit_latency
     txn_bytes = cfg.dram_transaction_bytes
     desch_lat = cfg.deschedule_latency
     desch_thr = cfg.deschedule_threshold
-    hist = [0, 0, 0, 0, 0]
-    arb_total = 0
-    mrf_reads_t = mrf_writes_t = 0
-    orf_reads_t = orf_writes_t = 0
-    lrf_reads_t = lrf_writes_t = 0
-    shared_row_reads_t = shared_row_writes_t = 0
-    cache_row_reads_t = cache_row_writes_t = 0
-    tag_lookups_t = 0
+    barrier_latency = cfg.barrier_latency
 
-    while heap:
-        ready, _, w = heappop(heap)
+    # The popped warp's core lives in locals: its units (bank, cache and
+    # DRAM bound methods, MSHR file, collector) and its state -- the
+    # issue port, the shared-memory / cache pipeline port, and the run's
+    # counters in N_TOTALS order with the histogram as one list.  A pop
+    # that switches cores saves one state tuple and loads the other's,
+    # so a one-core run loads once and an N-core run pays two tuple
+    # moves per switch rather than list traffic per op.
+    units = [
+        (c.banks.planned_shared, c.banks.planned_global, c.cache.read_line,
+         c.cache.write_line, c.cache.enabled, c.dram.request, c.mshr, c.obs)
+        for c in cores
+    ]
+    states = [
+        (c.issued_until, c.mem_port_free, 0, 0, 0, [0, 0, 0, 0, 0], *[0] * 11)
+        for c in cores
+    ]
+    loaded = None
+    while heap or loaded is not None:
+        if heap:
+            ready, _, w = heappop(heap)
+            core = w.core
+        else:
+            core = None  # drained: save the loaded state, then stop
+        if core is not loaded:
+            if loaded is not None:
+                states[loaded.index] = (
+                    issued_until, mem_port_free,
+                    instructions, conflict_cycles, arb_total, hist,
+                    mrf_reads_t, mrf_writes_t, orf_reads_t, orf_writes_t,
+                    lrf_reads_t, lrf_writes_t,
+                    shared_row_reads_t, shared_row_writes_t,
+                    cache_row_reads_t, cache_row_writes_t,
+                    tag_lookups_t,
+                )
+            if core is None:
+                break
+            loaded = core
+            (planned_shared, planned_global, cache_read, cache_write,
+             cache_enabled, dram_request, mshr, obs) = units[core.index]
+            (
+                issued_until, mem_port_free,
+                instructions, conflict_cycles, arb_total, hist,
+                mrf_reads_t, mrf_writes_t, orf_reads_t, orf_writes_t,
+                lrf_reads_t, lrf_writes_t,
+                shared_row_reads_t, shared_row_writes_t,
+                cache_row_reads_t, cache_row_writes_t,
+                tag_lookups_t,
+            ) = states[core.index]
+
         t = ready if ready > issued_until else issued_until
         pc = w.pc
         op = w.ops[pc]
@@ -393,7 +469,7 @@ def simulate(
                 cta.barrier_count = 0
                 waiting = cta.waiting_warps
                 cta.waiting_warps = []
-                release = t + 1 + cfg.barrier_latency
+                release = t + 1 + barrier_latency
                 for other in (*waiting, w):
                     if obs is not None:
                         obs.resume(other.wid, release, CAUSE_BARRIER)
@@ -405,12 +481,7 @@ def simulate(
                         if obs is not None:
                             obs.complete(other.wid, release)
                 if cta.warps_outstanding == 0:
-                    scheduler.retire(cta)
-                    if obs is not None:
-                        obs.cta_retire(cta.index, release)
-                    live_ctas -= 1
-                    if spawn_cta(release):
-                        live_ctas += 1
+                    retire(core, cta, release)
             else:
                 cta.waiting_warps.append(w)
             continue
@@ -586,7 +657,7 @@ def simulate(
         w.pc = pc
         ops_w = w.ops
         if pc < len(ops_w):
-            # Inlined _WarpState.next_ready plus the two-level scheduler
+            # Inlined _EventWarp.next_ready plus the two-level scheduler
             # runtime model (ref [8]): a warp stalling past the threshold
             # is descheduled and pays a reactivation latency when its
             # dependence resolves.
@@ -612,26 +683,15 @@ def simulate(
                 raise SimulationError(
                     f"CTA {cta.index} finished with warps still at a barrier"
                 )
-            scheduler.retire(cta)
-            if obs is not None:
-                obs.cta_retire(cta.index, issue_done)
-            live_ctas -= 1
-            if spawn_cta(issue_done):
-                live_ctas += 1
+            retire(core, cta, issue_done)
 
-    if scheduler.remaining:
-        raise SimulationError(f"{scheduler.remaining} CTAs were never launched")
-    if live_ctas:
-        raise SimulationError(f"{live_ctas} CTAs never finished")
-
-    core.issued_until = issued_until
-    core.mem_port_free = mem_port_free
-    totals = (
-        instructions, conflict_cycles, arb_total, *hist,
-        mrf_reads_t, mrf_writes_t, orf_reads_t, orf_writes_t,
-        lrf_reads_t, lrf_writes_t,
-        shared_row_reads_t, shared_row_writes_t,
-        cache_row_reads_t, cache_row_writes_t,
-        tag_lookups_t,
-    )
-    return core.result(kernel, partition, totals, core.end_cycle())
+    totals = []
+    for core, (issued, mem_free, n, conflicts, arb, h, *rest) in zip(cores, states):
+        if core.live_ctas:
+            raise SimulationError(
+                f"{core.live_ctas} CTAs never finished on SM {core.index}"
+            )
+        core.issued_until = issued
+        core.mem_port_free = mem_free
+        totals.append([n, conflicts, arb, *h, *rest])
+    return totals

@@ -3,11 +3,13 @@
 Every golden fixture (6 kernels x 3 designs, full SimResult
 serialization) must be reproduced bit-for-bit by ``simulate_chip``
 under ``ChipConfig.single_sm()`` -- one SM behind a private channel
-carrying the paper's 8 B/cycle slice.  Any divergence means the chip
-loop's arithmetic drifted from :func:`repro.sm.simulate`.
+carrying the paper's 8 B/cycle slice -- on both engines.  Any
+divergence means the N-core arithmetic drifted from
+:func:`repro.sm.simulate`.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,13 @@ from repro.sm.serialize import result_to_dict
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 CASES = sorted(p.name for p in GOLDEN_DIR.glob("*__*.json"))
+#: Every fixture on both engines; the columnar cases keep the bare
+#: fixture name as their id.
+CASE_ENGINES = [
+    pytest.param(case, engine, id=case if engine == "columnar" else f"{case}-{engine}")
+    for case in CASES
+    for engine in ("columnar", "event")
+]
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +44,13 @@ def _case_partition(rn, kernel: str, design: str):
     return rn.allocation(kernel, total_kb=384).partition
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_one_sm_chip_reproduces_golden_fixture(case, rn):
+@pytest.mark.parametrize(("case", "engine"), CASE_ENGINES)
+def test_one_sm_chip_reproduces_golden_fixture(case, engine, rn):
     stored = json.loads((GOLDEN_DIR / case).read_text())
     kernel, design = case.removesuffix(".json").split("__")
     partition = _case_partition(rn, kernel, design)
-    cr = simulate_chip(rn.compiled(kernel), partition, ChipConfig.single_sm())
+    chip = ChipConfig.single_sm(replace(rn.config, engine=engine))
+    cr = simulate_chip(rn.compiled(kernel), partition, chip)
     assert cr.num_sms == 1
     got = result_to_dict(cr.per_sm[0])
     assert got == stored, (

@@ -22,7 +22,7 @@ from repro.chip.simulator import simulate_chip
 from repro.core import partitioned_baseline
 from repro.experiments.runner import Runner
 from repro.obs import ChipCollector, Collector
-from repro.sm.simulator import resolved_engine, simulate
+from repro.sm.simulator import mark_warm, resolved_engine, simulate
 
 KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
 PARTITIONS = ("baseline", "unified384")
@@ -57,7 +57,7 @@ def _config(runner, mshr):
 def _warm(ck, cfg):
     # Defeat the tiered warm-up: every case below must exercise the
     # real replayer, not the event-engine warm-up pass.
-    ck._plan_cache[("colwarm", cfg.cache_line_bytes)] = True
+    mark_warm(ck, cfg)
 
 
 def _dumps(payload):

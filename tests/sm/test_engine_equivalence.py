@@ -16,7 +16,7 @@ from repro.chip.config import ChipConfig
 from repro.chip.simulator import simulate_chip
 from repro.core import partitioned_baseline
 from repro.experiments.runner import Runner
-from repro.sm.simulator import simulate
+from repro.sm.simulator import mark_warm, simulate
 
 KERNELS = ("vectoradd", "matrixmul", "needle", "bfs")
 PARTITIONS = ("baseline", "unified384")
@@ -58,7 +58,7 @@ def test_engines_bit_identical(runner, kernel, part_name, mshr):
     # Defeat the tiered warm-up (first uninstrumented sim of a kernel
     # runs the event core): every case here must compare the real
     # replayer, not the warm-up pass.
-    ck._plan_cache[("colwarm", cfg.cache_line_bytes)] = True
+    mark_warm(ck, cfg)
     event = simulate(ck, part, replace(cfg, engine="event"))
     columnar = simulate(ck, part, replace(cfg, engine="columnar"))
     # Whole-dataclass equality covers cycles, instruction and conflict

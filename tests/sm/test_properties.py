@@ -6,9 +6,12 @@ conservation of work, monotonicity of the clock, determinism, and
 consistency of the traffic counters.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chip import ChipConfig, simulate_chip
 from repro.compiler import compile_kernel
 from repro.core import DesignStyle, MemoryPartition, partitioned_baseline
 from repro.core.partition import KB
@@ -83,12 +86,18 @@ def test_work_conservation_and_clock(trace, partition):
 @given(trace=small_kernels(), partition=partitions)
 @settings(max_examples=20, deadline=None)
 def test_determinism(trace, partition):
+    # The first simulate() is the event core (tiered warm-up), the second
+    # the columnar replayer, the third the event core as a 1-SM chip: all
+    # three must agree on every field of the result.
     ck = compile_kernel(trace)
-    a = simulate(ck, partition)
-    b = simulate(ck, partition)
-    assert a.cycles == b.cycles
-    assert a.dram_accesses == b.dram_accesses
-    assert a.bank_conflict_cycles == b.bank_conflict_cycles
+    cfg = SMConfig()
+    a = simulate(ck, partition, cfg)
+    b = simulate(ck, partition, cfg)
+    chip = ChipConfig.single_sm(replace(cfg, engine="event"))
+    c = simulate_chip(ck, partition, chip).per_sm[0]
+    assert a.cycles == b.cycles == c.cycles
+    assert a == b
+    assert a == c
 
 
 @given(trace=small_kernels())
