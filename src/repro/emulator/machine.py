@@ -44,7 +44,7 @@ from repro.emulator.ast import (
 )
 from repro.isa.builder import WarpBuilder
 from repro.isa.kernel import CTATrace, KernelTrace, LaunchConfig
-from repro.isa.trace import WARP_SIZE, WarpOp
+from repro.isa.trace import WARP_SIZE, OpTable, WarpOp
 
 _MASK32 = 0xFFFFFFFF
 
@@ -272,7 +272,9 @@ def emulate_kernel(
     """Emulate a full launch: one trace per warp per CTA.
 
     CTAs run in index order against a single global-memory image;
-    each CTA gets a fresh shared-memory image.
+    each CTA gets a fresh shared-memory image.  Equal ops are one shared
+    object (:class:`~repro.isa.trace.OpTable`), as in every other trace
+    source.
     """
     stmts = program.statements if isinstance(program, Program) else tuple(program)
     gmem = MemoryImage(global_init)
@@ -281,11 +283,12 @@ def emulate_kernel(
         num_ctas=num_ctas,
         smem_bytes_per_cta=smem_bytes_per_cta,
     )
+    table = OpTable()
     ctas = []
     for c in range(num_ctas):
         smem = MemoryImage(lambda addr: 0)
         warps = [
-            list(
+            table.intern(
                 emulate_warp(
                     stmts,
                     cta=c,

@@ -11,6 +11,8 @@ emit:
   barriers).
 * :class:`~repro.isa.trace.WarpOp` -- one dynamic warp instruction over
   *virtual* registers, with per-thread byte addresses for memory ops.
+* :class:`~repro.isa.trace.OpTable` -- the per-trace intern table that
+  makes equal ops one shared object, in built and loaded traces alike.
 * :class:`~repro.isa.builder.WarpBuilder` -- a small construction API that
   kernels use to emit SSA-style instruction streams.
 * :class:`~repro.isa.kernel.KernelInfo` / :class:`~repro.isa.kernel.KernelTrace`
@@ -25,7 +27,7 @@ operates on warp instructions, never on individual threads.
 from repro.isa.builder import WarpBuilder
 from repro.isa.kernel import CTATrace, KernelInfo, KernelTrace, LaunchConfig
 from repro.isa.opcodes import MemSpace, OpClass
-from repro.isa.trace import WarpOp
+from repro.isa.trace import OpTable, WarpOp
 
 __all__ = [
     "CTATrace",
@@ -34,6 +36,7 @@ __all__ = [
     "LaunchConfig",
     "MemSpace",
     "OpClass",
+    "OpTable",
     "WarpBuilder",
     "WarpOp",
 ]

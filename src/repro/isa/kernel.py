@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.isa.opcodes import OpClass
 from repro.isa.trace import WARP_SIZE, TraceStats, WarpOp
 
 
@@ -84,7 +85,7 @@ class CTATrace:
         if not self.warps:
             raise ValueError("CTA must contain at least one warp")
         barrier_counts = {
-            sum(1 for op in w if op.op.name == "BARRIER") for w in self.warps
+            sum(1 for op in w if op.op is OpClass.BARRIER) for w in self.warps
         }
         if len(barrier_counts) != 1:
             raise ValueError(

@@ -40,6 +40,12 @@ class OpClass(enum.Enum):
     BARRIER = "bar.sync"
     EXIT = "exit"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # exact -- and, unlike Enum's name-based ``__hash__``, it runs in C.
+    # Every per-op dict probe keyed on an op class (trace interning,
+    # planning, instruction-mix counts) pays this hash.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OpClass.{self.name}"
 

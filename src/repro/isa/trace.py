@@ -14,6 +14,7 @@ allocation (the CTA scheduler rebases them at runtime).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.isa.opcodes import OpClass
@@ -74,6 +75,37 @@ class WarpOp:
     @property
     def regs_written(self) -> tuple[int, ...]:
         return () if self.dst is None else (self.dst,)
+
+
+class OpTable(dict):
+    """Per-trace intern table: equal warp ops become one shared object.
+
+    Dynamic streams are highly redundant (loop bodies, identical CTAs,
+    broadcast addresses), so a trace holds far fewer *distinct* ops than
+    dynamic ones.  Interning them lets every later layer that memoises
+    on op identity (:func:`repro.compiler.compile_kernel`, the shape
+    keys of :class:`repro.compiler.liveness.ShapeKeys`) do its per-op
+    work once per distinct op.
+
+    The table maps a field tuple ``(op, dst, srcs, addrs, active)`` --
+    :class:`WarpOp`'s fields in order -- to the shared op; indexing it
+    with a tuple not yet seen builds (and so validates) the op.  Ops
+    are keyed on all five fields, so sharing never changes what a
+    trace means.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> WarpOp:
+        op = self[key] = WarpOp(*key)
+        return op
+
+    def intern(self, ops: Iterable[WarpOp]) -> list[WarpOp]:
+        """``ops`` with each op replaced by the table's equal op."""
+        setdefault = self.setdefault
+        return [
+            setdefault((op.op, op.dst, op.srcs, op.addrs, op.active), op) for op in ops
+        ]
 
 
 @dataclass(slots=True)

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro.compiler.liveness import max_live_registers
+from repro.compiler.liveness import ShapeKeys
 from repro.isa.builder import WarpBuilder
 from repro.isa.kernel import CTATrace, KernelTrace, LaunchConfig
-from repro.isa.trace import WARP_SIZE, WarpOp
+from repro.isa.trace import WARP_SIZE, OpTable, WarpOp
 
 #: Supported workload scales.  "tiny" keeps unit tests fast, "small" is
 #: the default for experiments, "paper" approaches the publication sizes.
@@ -87,20 +87,27 @@ def build_kernel_trace(
         uses_texture: Kernel issues TEX instructions.
 
     Returns:
-        The finished :class:`~repro.isa.kernel.KernelTrace`.
+        The finished :class:`~repro.isa.kernel.KernelTrace`.  Equal ops
+        are one shared object (:class:`~repro.isa.trace.OpTable`), as in
+        a trace loaded by :func:`repro.isa.io.load_trace`.
     """
+    table = OpTable()
+    shapes = ShapeKeys()
 
     def build(pad: int) -> KernelTrace:
         ctas = [
-            CTATrace([list(warp_fn(c, w, pad)) for w in range(launch.warps_per_cta)])
+            CTATrace([table.intern(warp_fn(c, w, pad)) for w in range(launch.warps_per_cta)])
             for c in range(launch.num_ctas)
         ]
         return KernelTrace(name, launch, ctas, uses_texture=uses_texture)
 
+    def peak(trace: KernelTrace) -> int:
+        return shapes.peak(w for cta in trace.ctas for w in cta.warps)
+
     trace = build(0)
     if target_regs is None:
         return trace
-    measured = max(max_live_registers(w) for cta in trace.ctas for w in cta.warps)
+    measured = peak(trace)
     if measured > target_regs:
         raise ValueError(
             f"{name}: natural register footprint {measured} exceeds the "
@@ -109,7 +116,7 @@ def build_kernel_trace(
     if measured == target_regs:
         return trace
     trace = build(target_regs - measured)
-    padded = max(max_live_registers(w) for cta in trace.ctas for w in cta.warps)
+    padded = peak(trace)
     if padded != target_regs:
         raise ValueError(
             f"{name}: padding produced peak liveness {padded}, expected "
